@@ -34,7 +34,7 @@ func ExampleSystem_Quotes() {
 	}
 	trace, _ := probqos.NewFailureTrace(8, events)
 	system, _ := probqos.NewSystem(8, trace, 1.0)
-	for i, q := range system.Quotes(0, 8, 3600, 2) {
+	for i, q := range system.Quotes(8, 3600, 2) {
 		fmt.Printf("offer %d: deadline %d, p=%.2f\n", i+1, int64(q.Deadline), q.Success)
 	}
 	// Output:

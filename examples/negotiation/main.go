@@ -43,42 +43,68 @@ func run() error {
 	}
 
 	// A full-machine job of four hours must overlap the episode or wait it
-	// out. Show the quote ladder the user sees.
+	// out. Show the quote ladder the user sees; it ends at the first
+	// risk-free offer, which every user accepts.
 	const size = 16
 	exec := probqos.Duration(4 * probqos.Hour)
 	fmt.Printf("job: %d nodes, %d s execution (reserved %d s with checkpoints)\n\n",
 		size, exec, system.PlannedDuration(exec))
 	fmt.Println("the system's successive offers:")
-	for i, q := range system.Quotes(0, size, exec, 5) {
+	quotes := system.Quotes(size, exec, 8)
+	for i, q := range quotes {
 		fmt.Printf("  offer %d: start %-13v deadline %-13v p(success) %.2f\n",
 			i+1, q.Candidate.Start, q.Deadline, q.Success)
 	}
 
-	// Three users, three strategies.
+	// Three users, three strategies: each accepts the earliest offer whose
+	// promise clears its threshold U (Equation 3).
 	fmt.Println("\nwhat different users accept:")
-	for i, u := range []float64{0.1, 0.6, 0.95} {
-		user, err := probqos.NewUser(u)
-		if err != nil {
-			return err
-		}
-		q, offers, err := system.Submit(100+i, 0, size, exec, user)
+	for _, u := range []float64{0.1, 0.6, 0.95} {
+		rank, q, err := accept(u, quotes)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  U=%.2f accepts offer %d: deadline %-13v with p=%.2f\n",
-			u, offers, q.Deadline, q.Success)
-		system.Release(100 + i) // keep the cluster clean between users
+			u, rank, q.Deadline, q.Success)
 	}
 	// The system-initiated form of the dialog (§3.3): suggest the earliest
 	// deadline that clears a success bar, citing the improved probability.
-	suggestion, err := system.SuggestDeadline(0, size, exec, 0.99)
+	_, suggestion, err := accept(0.99, quotes)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nsystem suggestion for p >= 0.99: deadline %v (p=%.2f)\n",
 		suggestion.Deadline, suggestion.Success)
 
+	// The cautious user commits to its offer; running the clock to the
+	// deadline settles the promise in the ledger.
+	rank, q, err := accept(0.95, quotes)
+	if err != nil {
+		return err
+	}
+	job := probqos.Job{ID: system.NextJobID(), Nodes: size, Exec: exec}
+	if err := system.Admit(job, q, rank, ""); err != nil {
+		return err
+	}
+	if err := system.AdvanceTo(q.Deadline); err != nil {
+		return err
+	}
+	fmt.Printf("\nU=0.95 commits; at its deadline the ledger has kept %d of 1 promise\n",
+		system.Ledger().Stats().Kept)
+
 	fmt.Println("\nrelaxing the deadline buys probability: that is the incentive")
 	fmt.Println("structure that keeps both sides honest.")
 	return nil
+}
+
+// accept returns the earliest offer a user of risk strategy u takes from
+// the ladder, with its 1-based rank.
+func accept(u float64, quotes []probqos.Quote) (int, probqos.Quote, error) {
+	user := probqos.User{U: u}
+	for i, q := range quotes {
+		if user.Accepts(q.Success) {
+			return i + 1, q, nil
+		}
+	}
+	return 0, probqos.Quote{}, fmt.Errorf("no offer promises p >= %.2f", u)
 }

@@ -52,9 +52,12 @@ var deterministicDirs = map[string]bool{
 	"durability": true,
 	// The scenario runner replays declarative timelines onto the engine;
 	// golden zoo reports are byte-compared in CI, so the whole package —
-	// decoder included — must be input-pure. The promise-ledger import is
-	// annotated at the two sites that hold deterministic ledger state.
+	// decoder included — must be input-pure.
 	"scenario": true,
+	// The promise machine and its ledger are replayed by qosd's WAL, its
+	// snapshots and scenario export/resume; the conformance record they
+	// carry must come out of a replay bit for bit.
+	"promise": true,
 }
 
 // IsDeterministicPkg reports whether the import path lies in (or under) one
@@ -70,11 +73,10 @@ func IsDeterministicPkg(path string) bool {
 }
 
 // observabilityDirs names the internal packages on the wall-clock side of
-// the boundary: metrics exposition (obs) and request tracing / promise
-// conformance (trace). They may read the process clock — annotated at each
-// site — but the dependency between them and the deterministic set must
-// point one way only: the service layer hands state to observability,
-// never the reverse.
+// the boundary: metrics exposition (obs) and request tracing (trace). They
+// may read the process clock — annotated at each site — but the dependency
+// between them and the deterministic set must point one way only: the
+// service layer hands state to observability, never the reverse.
 var observabilityDirs = map[string]bool{
 	"obs":   true,
 	"trace": true,

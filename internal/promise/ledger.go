@@ -1,4 +1,4 @@
-package trace
+package promise
 
 import (
 	"fmt"
@@ -7,19 +7,20 @@ import (
 	"probqos/internal/units"
 )
 
-// The promise ledger: the runtime answer to "does qosd keep the promises
-// it quotes?". Every successful admit files the quoted success
+// The promise ledger: the runtime answer to "does the system keep the
+// promises it quotes?". Every successful admit files the quoted success
 // probability and deadline; every clock advance settles the promises the
 // engine has driven to a terminal state. From the settled rows the ledger
 // maintains streaming conformance statistics — promise-keeping rate,
 // Brier score, and reliability-diagram buckets on the same stats.BinIndex
-// rule as the offline metrics.Calibration diagram — exposed on /metrics
-// and /qos/conformance.
+// rule as the offline metrics.Calibration diagram — exposed on qosd's
+// /metrics and /qos/conformance and in scenario reports.
 //
-// Unlike the span tracer, the ledger lives entirely on the virtual clock:
-// it is deterministic state, owned by the service's machine, carried
-// through WAL replay and snapshots so that a recovered daemon reports
-// exactly the conformance record it would have had without the crash.
+// The ledger lives entirely on the virtual clock: it is deterministic
+// state, mutated only by its Machine and carried through WAL replay,
+// snapshots and scenario export/resume, so that a recovered run reports
+// exactly the conformance record it would have had without the
+// interruption.
 
 // Outcome is the terminal disposition of one promise.
 type Outcome string
@@ -73,8 +74,9 @@ type ConformanceStats struct {
 	Bins  []ConformanceBin `json:"bins"`
 }
 
-// Ledger tracks promises from admission to settlement. It is not safe for
-// concurrent use; qosd drives it from the state-machine goroutine.
+// Ledger tracks promises from admission to settlement. Other packages only
+// read it; its Machine files and settles the rows. It is not safe for
+// concurrent use.
 type Ledger struct {
 	bins    int
 	entries []Promise
@@ -95,12 +97,9 @@ type Ledger struct {
 // DefaultBins matches the offline calibration diagram's usual resolution.
 const DefaultBins = 10
 
-// NewLedger returns an empty ledger with the given number of
-// reliability-diagram bins (0 means DefaultBins).
-func NewLedger(bins int) *Ledger {
-	if bins <= 0 {
-		bins = DefaultBins
-	}
+// newLedger returns an empty ledger with the given (positive) number of
+// reliability-diagram bins.
+func newLedger(bins int) *Ledger {
 	return &Ledger{
 		bins:        bins,
 		index:       make(map[int]int),
@@ -114,10 +113,10 @@ func NewLedger(bins int) *Ledger {
 // stats.
 func (l *Ledger) Version() uint64 { return l.version }
 
-// Admit files a new promise. Re-admitting a job ID is ignored: the engine
+// admit files a new promise. Re-admitting a job ID is ignored: the engine
 // rejects duplicate admits, so a second call is a replay artifact, not a
 // new promise.
-func (l *Ledger) Admit(jobID int, sessionID string, promised float64, deadline, now units.Time) {
+func (l *Ledger) admit(jobID int, sessionID string, promised float64, deadline, now units.Time) {
 	if _, dup := l.index[jobID]; dup {
 		return
 	}
@@ -134,11 +133,11 @@ func (l *Ledger) Admit(jobID int, sessionID string, promised float64, deadline, 
 	l.version++
 }
 
-// Settle scans the open promises in admit order and asks judge for each
+// settle scans the open promises in admit order and asks judge for each
 // job's disposition; terminal ones are settled at the given virtual
 // instant. The judge runs against the engine, which already knows every
 // outcome — the ledger only records them.
-func (l *Ledger) Settle(now units.Time, judge func(jobID int) (kept, terminal bool)) {
+func (l *Ledger) settle(now units.Time, judge func(jobID int) (kept, terminal bool)) {
 	still := l.open[:0]
 	for _, idx := range l.open {
 		kept, terminal := judge(l.entries[idx].JobID)
@@ -146,34 +145,39 @@ func (l *Ledger) Settle(now units.Time, judge func(jobID int) (kept, terminal bo
 			still = append(still, idx)
 			continue
 		}
-		l.settle(idx, kept, now)
+		l.settleEntry(idx, kept, now)
 	}
 	l.open = still
 }
 
-// settle finalizes one pending entry and folds it into the streaming
+// settleEntry finalizes one pending entry and folds it into the streaming
 // statistics.
-func (l *Ledger) settle(idx int, kept bool, now units.Time) {
+func (l *Ledger) settleEntry(idx int, kept bool, now units.Time) {
 	e := &l.entries[idx]
 	e.SettledAt = now
+	e.Outcome = OutcomeBroken
 	outcome := 0.0
 	if kept {
 		e.Outcome = OutcomeKept
-		l.kept++
 		outcome = 1.0
-	} else {
-		e.Outcome = OutcomeBroken
-		l.broken++
 	}
 	diff := e.Promised - outcome
 	l.brierSum += diff * diff
-	b := stats.BinIndex(e.Promised, l.bins)
-	l.binSettled[b]++
-	if kept {
-		l.binKept[b]++
-	}
-	l.binPromised[b] += e.Promised
+	l.tally(e.Promised, kept)
 	l.version++
+}
+
+// tally counts one settled promise by outcome and reliability bin.
+func (l *Ledger) tally(promised float64, kept bool) {
+	b := stats.BinIndex(promised, l.bins)
+	l.binSettled[b]++
+	l.binPromised[b] += promised
+	if kept {
+		l.kept++
+		l.binKept[b]++
+	} else {
+		l.broken++
+	}
 }
 
 // Stats summarizes the ledger.
@@ -226,7 +230,7 @@ func (l *Ledger) Lookup(jobID int) (Promise, bool) {
 }
 
 // LedgerState is the ledger's persistent form, carried inside qosd
-// snapshots. BrierSum is carried verbatim rather than recomputed because
+// snapshots and scenario states. BrierSum is carried verbatim rather than recomputed because
 // the live sum accumulates in settlement order, which the rows alone do
 // not fully determine; every other statistic is rebuilt from the rows so
 // the state cannot go internally inconsistent.
@@ -245,33 +249,26 @@ func (l *Ledger) Export() LedgerState {
 	}
 }
 
-// Import replaces the ledger's contents with an exported state.
-func (l *Ledger) Import(st LedgerState) error {
+// restore replaces the ledger's contents with an exported state.
+func (l *Ledger) restore(st LedgerState) error {
 	bins := st.Bins
 	if bins <= 0 {
 		bins = DefaultBins
 	}
-	fresh := NewLedger(bins)
+	fresh := newLedger(bins)
 	for i, p := range st.Promises {
 		if _, dup := fresh.index[p.JobID]; dup {
-			return fmt.Errorf("trace: ledger state repeats job %d", p.JobID)
+			return fmt.Errorf("promise: ledger state repeats job %d", p.JobID)
 		}
 		fresh.index[p.JobID] = i
 		fresh.entries = append(fresh.entries, p)
 		switch p.Outcome {
 		case OutcomePending:
 			fresh.open = append(fresh.open, i)
-		case OutcomeKept:
-			fresh.kept++
-			fresh.binSettled[stats.BinIndex(p.Promised, bins)]++
-			fresh.binKept[stats.BinIndex(p.Promised, bins)]++
-			fresh.binPromised[stats.BinIndex(p.Promised, bins)] += p.Promised
-		case OutcomeBroken:
-			fresh.broken++
-			fresh.binSettled[stats.BinIndex(p.Promised, bins)]++
-			fresh.binPromised[stats.BinIndex(p.Promised, bins)] += p.Promised
+		case OutcomeKept, OutcomeBroken:
+			fresh.tally(p.Promised, p.Outcome == OutcomeKept)
 		default:
-			return fmt.Errorf("trace: ledger state job %d has unknown outcome %q", p.JobID, p.Outcome)
+			return fmt.Errorf("promise: ledger state job %d has unknown outcome %q", p.JobID, p.Outcome)
 		}
 	}
 	fresh.brierSum = st.BrierSum

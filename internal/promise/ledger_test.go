@@ -1,4 +1,4 @@
-package trace
+package promise
 
 import (
 	"encoding/json"
@@ -12,17 +12,17 @@ import (
 // settleAll marks every open promise terminal with the given outcomes by
 // job ID (absent IDs stay open).
 func settleAll(l *Ledger, now units.Time, kept map[int]bool) {
-	l.Settle(now, func(jobID int) (bool, bool) {
+	l.settle(now, func(jobID int) (bool, bool) {
 		k, terminal := kept[jobID]
 		return k, terminal
 	})
 }
 
 func TestLedgerLifecycle(t *testing.T) {
-	l := NewLedger(10)
-	l.Admit(1, "q-1", 0.95, 100, 10)
-	l.Admit(2, "q-2", 0.72, 200, 20)
-	l.Admit(3, "q-3", 0.55, 300, 30)
+	l := newLedger(10)
+	l.admit(1, "q-1", 0.95, 100, 10)
+	l.admit(2, "q-2", 0.72, 200, 20)
+	l.admit(3, "q-3", 0.55, 300, 30)
 
 	st := l.Stats()
 	if st.Promises != 3 || st.Open != 3 || st.Settled != 0 {
@@ -53,12 +53,12 @@ func TestLedgerLifecycle(t *testing.T) {
 }
 
 func TestLedgerBinsMatchCalibrationBucketing(t *testing.T) {
-	l := NewLedger(10)
+	l := newLedger(10)
 	// 0.95 -> bin 9, 0.90 -> bin 9, 1.0 -> closed final bin 9, 0.05 -> bin 0.
-	l.Admit(1, "", 0.95, 100, 0)
-	l.Admit(2, "", 0.90, 100, 0)
-	l.Admit(3, "", 1.0, 100, 0)
-	l.Admit(4, "", 0.05, 100, 0)
+	l.admit(1, "", 0.95, 100, 0)
+	l.admit(2, "", 0.90, 100, 0)
+	l.admit(3, "", 1.0, 100, 0)
+	l.admit(4, "", 0.05, 100, 0)
 	settleAll(l, 100, map[int]bool{1: true, 2: false, 3: true, 4: false})
 
 	st := l.Stats()
@@ -78,9 +78,9 @@ func TestLedgerBinsMatchCalibrationBucketing(t *testing.T) {
 }
 
 func TestLedgerDuplicateAdmitIgnored(t *testing.T) {
-	l := NewLedger(10)
-	l.Admit(1, "q-1", 0.9, 100, 0)
-	l.Admit(1, "q-99", 0.1, 999, 5)
+	l := newLedger(10)
+	l.admit(1, "q-1", 0.9, 100, 0)
+	l.admit(1, "q-99", 0.1, 999, 5)
 	if st := l.Stats(); st.Promises != 1 {
 		t.Fatalf("duplicate admit created a row: %+v", st)
 	}
@@ -90,8 +90,8 @@ func TestLedgerDuplicateAdmitIgnored(t *testing.T) {
 }
 
 func TestLedgerSettleIsIdempotent(t *testing.T) {
-	l := NewLedger(10)
-	l.Admit(1, "", 0.8, 100, 0)
+	l := newLedger(10)
+	l.admit(1, "", 0.8, 100, 0)
 	settleAll(l, 50, map[int]bool{1: true})
 	// A second sweep sees no open entries; counters must not move.
 	settleAll(l, 60, map[int]bool{1: false})
@@ -105,10 +105,10 @@ func TestLedgerSettleIsIdempotent(t *testing.T) {
 }
 
 func TestLedgerExportImportRoundTrip(t *testing.T) {
-	l := NewLedger(10)
-	l.Admit(1, "q-1", 0.95, 100, 10)
-	l.Admit(2, "q-2", 0.72, 200, 20)
-	l.Admit(3, "q-3", 0.55, 300, 30)
+	l := newLedger(10)
+	l.admit(1, "q-1", 0.95, 100, 10)
+	l.admit(2, "q-2", 0.72, 200, 20)
+	l.admit(3, "q-3", 0.55, 300, 30)
 	settleAll(l, 150, map[int]bool{1: true, 2: false})
 
 	// Round-trip through JSON, as a qosd snapshot would.
@@ -120,8 +120,8 @@ func TestLedgerExportImportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewLedger(0)
-	if err := restored.Import(st); err != nil {
+	restored := newLedger(0)
+	if err := restored.restore(st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,13 +141,13 @@ func TestLedgerExportImportRoundTrip(t *testing.T) {
 }
 
 func TestLedgerImportRejectsBadState(t *testing.T) {
-	l := NewLedger(10)
-	if err := l.Import(LedgerState{Bins: 10, Promises: []Promise{
+	l := newLedger(10)
+	if err := l.restore(LedgerState{Bins: 10, Promises: []Promise{
 		{JobID: 1, Outcome: OutcomeKept}, {JobID: 1, Outcome: OutcomeKept},
 	}}); err == nil {
 		t.Fatal("import accepted a duplicate job ID")
 	}
-	if err := l.Import(LedgerState{Bins: 10, Promises: []Promise{
+	if err := l.restore(LedgerState{Bins: 10, Promises: []Promise{
 		{JobID: 1, Outcome: "mangled"},
 	}}); err == nil {
 		t.Fatal("import accepted an unknown outcome")
@@ -155,9 +155,9 @@ func TestLedgerImportRejectsBadState(t *testing.T) {
 }
 
 func TestLedgerEntriesTail(t *testing.T) {
-	l := NewLedger(10)
+	l := newLedger(10)
 	for i := 1; i <= 5; i++ {
-		l.Admit(i, "", 0.5, 100, 0)
+		l.admit(i, "", 0.5, 100, 0)
 	}
 	tail := l.Entries(2)
 	if len(tail) != 2 || tail[0].JobID != 4 || tail[1].JobID != 5 {
@@ -169,9 +169,9 @@ func TestLedgerEntriesTail(t *testing.T) {
 }
 
 func TestLedgerVersionTracksChanges(t *testing.T) {
-	l := NewLedger(10)
+	l := newLedger(10)
 	v0 := l.Version()
-	l.Admit(1, "", 0.5, 100, 0)
+	l.admit(1, "", 0.5, 100, 0)
 	if l.Version() == v0 {
 		t.Fatal("admit did not bump the version")
 	}

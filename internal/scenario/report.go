@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"probqos/internal/promise"
 	"probqos/internal/sim"
-	//qoslint:allow obsimport the conformance stats embedded in the report come from the deterministic ledger
-	"probqos/internal/trace"
 	"probqos/internal/units"
 )
 
@@ -21,9 +20,9 @@ type Report struct {
 	// drain, the last processed event).
 	FinalClock units.Time `json:"final_clock_s"`
 
-	Jobs        JobsReport             `json:"jobs"`
-	Metrics     MetricsReport          `json:"metrics"`
-	Conformance trace.ConformanceStats `json:"conformance"`
+	Jobs        JobsReport               `json:"jobs"`
+	Metrics     MetricsReport            `json:"metrics"`
+	Conformance promise.ConformanceStats `json:"conformance"`
 
 	Assertions []AssertionResult `json:"assertions"`
 	// OK is true when every assertion held (vacuously true with none).
@@ -74,13 +73,13 @@ func (r *Runner) Report() *Report {
 	rep := &Report{
 		Scenario:   r.scn.Name,
 		Seed:       r.scn.Seed,
-		FinalClock: r.eng.Now(),
+		FinalClock: r.m.Now(),
 		Jobs: JobsReport{
 			Submitted:        r.submitted,
 			Rejected:         r.rejected,
 			InjectedFailures: r.injected,
 		},
-		Conformance: r.ledger.Stats(),
+		Conformance: r.m.Ledger().Stats(),
 	}
 
 	var (
@@ -90,8 +89,8 @@ func (r *Runner) Report() *Report {
 		promised  float64
 		span      units.Time
 	)
-	for _, id := range r.eng.JobIDs() {
-		js, ok := r.eng.Job(id)
+	for _, id := range r.m.JobIDs() {
+		js, ok := r.m.Job(id)
 		if !ok {
 			continue
 		}

@@ -5,10 +5,9 @@ import (
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/negotiate"
+	"probqos/internal/promise"
 	"probqos/internal/sim"
 	"probqos/internal/stats"
-	//qoslint:allow obsimport the promise ledger is deterministic virtual-clock state, not wall-clock observability
-	"probqos/internal/trace"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
@@ -31,47 +30,44 @@ func policyFor(name string) (checkpoint.Policy, error) {
 	return nil, fmt.Errorf("unknown policy %q (one of risk, periodic, never)", name)
 }
 
-// Runner executes one scenario on a sim.Engine, step by step. A step is one
-// timeline event; a final implicit step drains the engine and settles the
-// last promises. The runner drives the engine exclusively through
-// Admit/AdvanceTo/InjectFailure, which keeps the engine's operation journal
-// faithful: Export/Resume mid-scenario reproduces the exact final report.
+// Runner executes one scenario on a promise.Machine, step by step. A step
+// is one timeline event; a final implicit step drains the engine and
+// settles the last promises. The machine's operation journal makes
+// Export/Resume mid-scenario reproduce the exact final report.
 type Runner struct {
-	scn    *Scenario
-	eng    *sim.Engine
-	ledger *trace.Ledger
+	scn *Scenario
+	m   *promise.Machine
 
 	step      int // next timeline step; len(scn.Events)+1 total (final drain)
-	nextJobID int
 	submitted int
 	rejected  int
 	injected  int
 }
 
 // NewRunner validates the scenario, generates its background failure trace,
-// and assembles the engine.
+// and assembles the machine.
 func NewRunner(s *Scenario) (*Runner, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	eng, ledger, err := buildEngine(s)
+	m, err := buildMachine(s)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{scn: s, eng: eng, ledger: ledger, nextJobID: 1}, nil
+	return &Runner{scn: s, m: m}, nil
 }
 
-// buildEngine constructs the fresh engine + ledger pair a scenario defines;
-// NewRunner and Resume share it so a resumed run restores onto an engine
-// identical to the original.
-func buildEngine(s *Scenario) (*sim.Engine, *trace.Ledger, error) {
+// buildMachine constructs the fresh machine a scenario defines; NewRunner
+// and Resume share it so a resumed run restores onto an engine identical
+// to the original.
+func buildMachine(s *Scenario) (*promise.Machine, error) {
 	bg, err := backgroundTrace(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	policy, err := policyFor(s.Fleet.Policy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg := sim.DefaultConfig(nil, bg)
 	cfg.Nodes = s.Fleet.Nodes
@@ -83,11 +79,11 @@ func buildEngine(s *Scenario) (*sim.Engine, *trace.Ledger, error) {
 	cfg.FaultAware = s.Fleet.FaultAware
 	cfg.DeadlineSkip = s.Fleet.DeadlineSkip
 	cfg.BaseRateFloor = s.Fleet.BaseRateFloor
-	eng, err := sim.NewEngine(cfg)
+	m, err := promise.New(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return eng, trace.NewLedger(0), nil
+	return m, nil
 }
 
 // Scenario returns the scenario the runner executes.
@@ -106,20 +102,18 @@ func (r *Runner) Step() error {
 	i := r.step
 	r.step++
 	if i == len(r.scn.Events) {
-		if err := r.eng.Drain(); err != nil {
+		if err := r.m.Drain(); err != nil {
 			return fmt.Errorf("scenario %s: drain: %w", r.scn.Name, err)
 		}
-		r.settle()
 		return nil
 	}
 	ev := r.scn.Events[i]
 	// Events are ordered, but a resumed engine may already sit past the
 	// event instant (Restore replays to the journal clock); never rewind.
-	at := ev.At.Max(r.eng.Now())
-	if err := r.eng.AdvanceTo(at); err != nil {
+	at := ev.At.Max(r.m.Now())
+	if err := r.m.AdvanceTo(at); err != nil {
 		return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
 	}
-	r.settle()
 	switch ev.Action {
 	case ActionArrivalBurst:
 		if err := r.burst(i, ev); err != nil {
@@ -128,7 +122,7 @@ func (r *Runner) Step() error {
 	case ActionInjectFail:
 		for k, node := range ev.Inject.Nodes {
 			failAt := at.Add(ev.Inject.Stagger * units.Duration(k))
-			if err := r.eng.InjectFailure(node, failAt); err != nil {
+			if err := r.m.InjectFailure(node, failAt); err != nil {
 				return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
 			}
 			r.injected++
@@ -139,7 +133,7 @@ func (r *Runner) Step() error {
 		m := ev.Maintenance
 		for _, node := range m.Nodes {
 			for off := units.Duration(0); off < m.Duration; off += r.scn.Fleet.Downtime {
-				if err := r.eng.InjectFailure(node, at.Add(off)); err != nil {
+				if err := r.m.InjectFailure(node, at.Add(off)); err != nil {
 					return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
 				}
 				r.injected++
@@ -149,10 +143,9 @@ func (r *Runner) Step() error {
 		// Already folded into the background trace at generation time;
 		// nothing to do at runtime.
 	case ActionDrain:
-		if err := r.eng.Drain(); err != nil {
+		if err := r.m.Drain(); err != nil {
 			return fmt.Errorf("scenario %s: events[%d]: drain: %w", r.scn.Name, i, err)
 		}
-		r.settle()
 	}
 	return nil
 }
@@ -179,23 +172,20 @@ func (r *Runner) burst(i int, ev Event) error {
 		} else {
 			arriveAt = ev.At
 		}
-		if err := r.eng.AdvanceTo(arriveAt.Max(r.eng.Now())); err != nil {
+		if err := r.m.AdvanceTo(arriveAt.Max(r.m.Now())); err != nil {
 			return fmt.Errorf("scenario %s: events[%d] job %d: %w", r.scn.Name, i, k, err)
 		}
-		r.settle()
 		r.submitted++
-		quotes := r.eng.Quotes(nodes, exec, maxQuoteOffers)
+		quotes := r.m.Quotes(nodes, exec, maxQuoteOffers)
 		admitted := false
 		for rank, q := range quotes {
 			if !user.Accepts(q.Success) {
 				continue
 			}
-			job := workload.Job{ID: r.nextJobID, Arrival: r.eng.Now(), Nodes: nodes, Exec: exec}
-			if err := r.eng.Admit(job, q, rank+1); err != nil {
+			job := workload.Job{ID: r.m.NextJobID(), Arrival: r.m.Now(), Nodes: nodes, Exec: exec}
+			if err := r.m.Admit(job, q, rank+1, ""); err != nil {
 				return fmt.Errorf("scenario %s: events[%d] job %d: %w", r.scn.Name, i, k, err)
 			}
-			r.ledger.Admit(job.ID, "", q.Success, q.Deadline, r.eng.Now())
-			r.nextJobID++
 			admitted = true
 			break
 		}
@@ -204,18 +194,6 @@ func (r *Runner) burst(i int, ev Event) error {
 		}
 	}
 	return nil
-}
-
-// settle resolves every open promise whose job reached a terminal state.
-func (r *Runner) settle() {
-	now := r.eng.Now()
-	r.ledger.Settle(now, func(jobID int) (kept, terminal bool) {
-		js, ok := r.eng.Job(jobID)
-		if !ok {
-			return false, false
-		}
-		return js.State == sim.JobCompleted, js.State.Terminal()
-	})
 }
 
 // Run executes every remaining step and returns the final report.
@@ -228,38 +206,40 @@ func (r *Runner) Run() (*Report, error) {
 	return r.Report(), nil
 }
 
-// State is a mid-scenario snapshot: the scenario itself plus the engine's
-// operation journal, the ledger, and the runner's counters. Resume on a
+// State is a mid-scenario snapshot: the scenario itself plus the machine's
+// state (engine operation journal, ledger, job-ID counter) and the runner's
+// counters. Resume on a
 // fresh process reconstructs a runner that finishes with the exact report
 // the uninterrupted run would have produced.
 type State struct {
-	Scenario  *Scenario         `json:"scenario"`
-	Step      int               `json:"step"`
-	NextJobID int               `json:"next_job_id"`
-	Submitted int               `json:"submitted"`
-	Rejected  int               `json:"rejected"`
-	Injected  int               `json:"injected"`
-	Engine    sim.EngineState   `json:"engine"`
-	Ledger    trace.LedgerState `json:"ledger"`
+	Scenario  *Scenario           `json:"scenario"`
+	Step      int                 `json:"step"`
+	NextJobID int                 `json:"next_job_id"`
+	Submitted int                 `json:"submitted"`
+	Rejected  int                 `json:"rejected"`
+	Injected  int                 `json:"injected"`
+	Engine    sim.EngineState     `json:"engine"`
+	Ledger    promise.LedgerState `json:"ledger"`
 }
 
 // Export snapshots the runner between steps.
 func (r *Runner) Export() State {
+	st := r.m.Export()
 	return State{
 		Scenario:  r.scn,
 		Step:      r.step,
-		NextJobID: r.nextJobID,
+		NextJobID: st.LastJobID + 1,
 		Submitted: r.submitted,
 		Rejected:  r.rejected,
 		Injected:  r.injected,
-		Engine:    r.eng.ExportState(),
-		Ledger:    r.ledger.Export(),
+		Engine:    st.Engine,
+		Ledger:    st.Ledger,
 	}
 }
 
-// Resume reconstructs a runner from an exported State: a fresh engine built
-// from the scenario (identical config and background trace), the operation
-// journal replayed, the ledger imported.
+// Resume reconstructs a runner from an exported State: a fresh machine
+// built from the scenario (identical config and background trace) with the
+// exported machine state restored onto it.
 func Resume(st State) (*Runner, error) {
 	if st.Scenario == nil {
 		return nil, fmt.Errorf("scenario: resume state has no scenario")
@@ -267,22 +247,21 @@ func Resume(st State) (*Runner, error) {
 	if err := st.Scenario.Validate(); err != nil {
 		return nil, err
 	}
-	eng, ledger, err := buildEngine(st.Scenario)
+	m, err := buildMachine(st.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Restore(st.Engine); err != nil {
-		return nil, fmt.Errorf("scenario %s: resume: %w", st.Scenario.Name, err)
-	}
-	if err := ledger.Import(st.Ledger); err != nil {
+	if err := m.Restore(promise.State{
+		Engine:    st.Engine,
+		Ledger:    st.Ledger,
+		LastJobID: st.NextJobID - 1,
+	}); err != nil {
 		return nil, fmt.Errorf("scenario %s: resume: %w", st.Scenario.Name, err)
 	}
 	return &Runner{
 		scn:       st.Scenario,
-		eng:       eng,
-		ledger:    ledger,
+		m:         m,
 		step:      st.Step,
-		nextJobID: st.NextJobID,
 		submitted: st.Submitted,
 		rejected:  st.Rejected,
 		injected:  st.Injected,

@@ -61,8 +61,8 @@ func fingerprint(t *testing.T, m *machine) string {
 		"stats":   m.eng.Stats(),
 		"jobs":    jobs,
 		"book":    m.book.Export(),
-		"next_id": m.nextJobID,
-		"ledger":  m.ledger.Export(),
+		"next_id": m.eng.NextJobID(),
+		"ledger":  m.eng.Ledger().Export(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +456,7 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveDialog(t, s.Handler())
-	before := s.ledger.Export()
+	before := s.eng.Ledger().Export()
 	if len(before.Promises) != 3 {
 		t.Fatalf("dialog admitted %d promises, want 3", len(before.Promises))
 	}
@@ -467,7 +467,7 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	after := s2.ledger.Export()
+	after := s2.eng.Ledger().Export()
 	b1, _ := json.Marshal(before)
 	b2, _ := json.Marshal(after)
 	if string(b1) != string(b2) {
@@ -480,14 +480,14 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		map[string]any{"by_seconds": 7 * 86400}, nil); code != http.StatusOK {
 		t.Fatalf("advance after recovery: %d", code)
 	}
-	st := s2.ledger.Stats()
+	st := s2.eng.Ledger().Stats()
 	if st.Open != 0 || st.Settled != 3 {
 		t.Fatalf("after a week: %+v, want all 3 promises settled", st)
 	}
 	if st.Kept+st.Broken != st.Settled {
 		t.Errorf("kept %d + broken %d != settled %d", st.Kept, st.Broken, st.Settled)
 	}
-	for _, p := range s2.ledger.Entries(0) {
+	for _, p := range s2.eng.Ledger().Entries(0) {
 		if p.Outcome == "pending" {
 			t.Errorf("job %d still pending after a week", p.JobID)
 		}
@@ -504,7 +504,7 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveDialog(t, s.Handler())
-	before := s.ledger.Export()
+	before := s.eng.Ledger().Export()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("expected clean snapshot-only restart, got %+v", info)
 	}
 	b1, _ := json.Marshal(before)
-	b2, _ := json.Marshal(s2.ledger.Export())
+	b2, _ := json.Marshal(s2.eng.Ledger().Export())
 	if string(b1) != string(b2) {
 		t.Errorf("snapshot-restored ledger diverges:\n got %s\nwant %s", b2, b1)
 	}

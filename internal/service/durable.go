@@ -12,8 +12,8 @@ import (
 	"probqos/internal/durability"
 	"probqos/internal/negotiate"
 	"probqos/internal/obs"
+	"probqos/internal/promise"
 	"probqos/internal/sim"
-	"probqos/internal/trace"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
@@ -72,20 +72,19 @@ type walOp struct {
 	At   units.Time `json:"at,omitempty"`
 }
 
-// machine is the replayable core of qosd: the engine, the session book,
-// the job-ID counter, and the promise ledger. Live requests and WAL replay
-// mutate it through the same apply helpers, so recovery is the normal code
-// path re-run, not a parallel implementation that can drift — including
-// the conformance record, which a crash must not be able to launder.
+// machine is the replayable core of qosd: the promise machine (engine,
+// promise ledger, job-ID counter) and the session book. Live requests and
+// WAL replay mutate it through the same apply helpers, so recovery is the
+// normal code path re-run, not a parallel implementation that can drift —
+// including the conformance record, which a crash must not be able to
+// launder.
 type machine struct {
-	eng       *sim.Engine
-	book      *negotiate.Book
-	nextJobID int
-	ledger    *trace.Ledger
+	eng  *promise.Machine
+	book *negotiate.Book
 }
 
 func newMachine(cfg Config) (machine, error) {
-	eng, err := sim.NewEngine(sim.Config{
+	eng, err := promise.New(sim.Config{
 		Failures:      cfg.Failures,
 		Nodes:         cfg.Nodes,
 		Accuracy:      cfg.Accuracy,
@@ -103,56 +102,30 @@ func newMachine(cfg Config) (machine, error) {
 	if err != nil {
 		return machine{}, err
 	}
-	return machine{eng: eng, book: book, ledger: trace.NewLedger(trace.DefaultBins)}, nil
+	return machine{eng: eng, book: book}, nil
 }
 
-// applyAdvance moves the clock, sweeps lapsed sessions, and settles every
-// promise the advance drove to a terminal state: the transition behind
-// both /v1/advance and the speedup clock. Settlement happens here — on
-// the journaled clock, inside the replayed path — so a recovered ledger
-// is identical to the one the crash interrupted.
+// applyAdvance moves the clock, settling every promise the advance drove
+// to a terminal state, and sweeps lapsed sessions: the transition behind
+// both /v1/advance and the speedup clock. Settlement happens on the
+// journaled clock, inside the replayed path, so a recovered ledger is
+// identical to the one the crash interrupted.
 func (m *machine) applyAdvance(to units.Time) error {
 	if err := m.eng.AdvanceTo(to); err != nil {
 		return err
 	}
 	m.book.Sweep(m.eng.Now())
-	m.settlePromises()
 	return nil
 }
 
-// settlePromises asks the engine for the disposition of every open ledger
-// entry. JobCompleted is a kept promise; JobMissed — sticky from the
-// instant the deadline passes unmet — is a broken one.
-func (m *machine) settlePromises() {
-	m.ledger.Settle(m.eng.Now(), func(jobID int) (kept, terminal bool) {
-		st, ok := m.eng.Job(jobID)
-		if !ok {
-			return false, false
-		}
-		return st.State == sim.JobCompleted, st.State.Terminal()
-	})
-}
-
-// applyAdmit consumes the session (if any still exists), burns the job ID,
-// and admits. The ID is consumed even when admission then fails — live
-// and on replay alike — so the counter never reissues an ID. A successful
-// admit files the quoted promise in the ledger.
+// applyAdmit consumes the session (if any still exists) and admits. The
+// job ID is burned even when admission then fails — live and on replay
+// alike — so the counter never reissues an ID.
 func (m *machine) applyAdmit(op walOp) error {
 	if op.SessionID != "" {
 		m.book.Take(op.SessionID, m.eng.Now())
 	}
-	if op.Job.ID > m.nextJobID {
-		m.nextJobID = op.Job.ID
-	}
-	if err := m.eng.Admit(*op.Job, *op.Quote, op.Offers); err != nil {
-		return err
-	}
-	m.ledger.Admit(op.Job.ID, op.SessionID, op.Quote.Success, op.Quote.Deadline, m.eng.Now())
-	return nil
-}
-
-func (m *machine) applyFault(op walOp) error {
-	return m.eng.InjectFailure(op.Node, op.At)
+	return m.eng.Admit(*op.Job, *op.Quote, op.Offers, op.SessionID)
 }
 
 // apply replays one journaled operation. Admit and fault rejections are
@@ -175,7 +148,7 @@ func (m *machine) apply(op walOp) error {
 		}
 		m.applyAdmit(op)
 	case opFault:
-		m.applyFault(op)
+		m.eng.InjectFailure(op.Node, op.At)
 	case opDrain:
 		// Clean-shutdown marker; state unchanged.
 	default:
@@ -186,13 +159,14 @@ func (m *machine) apply(op walOp) error {
 
 // persistedState is what a snapshot's State field holds.
 type persistedState struct {
-	Engine    sim.EngineState     `json:"engine"`
-	Book      negotiate.BookState `json:"book"`
-	NextJobID int                 `json:"next_job_id"`
+	Engine sim.EngineState     `json:"engine"`
+	Book   negotiate.BookState `json:"book"`
+	// NextJobID is the highest job ID issued so far.
+	NextJobID int `json:"next_job_id"`
 	// Ledger carries the promise-conformance record. A pointer so
 	// snapshots written before the ledger existed still decode (they
 	// restore an empty ledger).
-	Ledger *trace.LedgerState `json:"ledger,omitempty"`
+	Ledger *promise.LedgerState `json:"ledger,omitempty"`
 	// Clean marks a shutdown snapshot: the WAL was drained and truncated
 	// before exit, so a boot that finds it with an empty log was preceded
 	// by a graceful stop, not a crash.
@@ -200,12 +174,12 @@ type persistedState struct {
 }
 
 func (m *machine) export(clean bool) ([]byte, error) {
-	ledger := m.ledger.Export()
+	st := m.eng.Export()
 	return json.Marshal(persistedState{
-		Engine:    m.eng.ExportState(),
+		Engine:    st.Engine,
 		Book:      m.book.Export(),
-		NextJobID: m.nextJobID,
-		Ledger:    &ledger,
+		NextJobID: st.LastJobID,
+		Ledger:    &st.Ledger,
 		Clean:     clean,
 	})
 }
@@ -284,21 +258,18 @@ func (s *Service) recoverState() error {
 			store.Close()
 			return fmt.Errorf("service: decode snapshot state: %w", err)
 		}
-		if err := s.eng.Restore(ps.Engine); err != nil {
+		st := promise.State{Engine: ps.Engine, LastJobID: ps.NextJobID}
+		if ps.Ledger != nil {
+			st.Ledger = *ps.Ledger
+		}
+		if err := s.eng.Restore(st); err != nil {
 			store.Close()
-			return fmt.Errorf("service: restore engine: %w", err)
+			return fmt.Errorf("service: %w", err)
 		}
 		if err := s.book.Import(ps.Book); err != nil {
 			store.Close()
 			return fmt.Errorf("service: restore session book: %w", err)
 		}
-		if ps.Ledger != nil {
-			if err := s.ledger.Import(*ps.Ledger); err != nil {
-				store.Close()
-				return fmt.Errorf("service: restore promise ledger: %w", err)
-			}
-		}
-		s.nextJobID = ps.NextJobID
 		clean = ps.Clean
 	}
 	for _, rec := range recs {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"probqos/internal/promise"
 	"probqos/internal/sim"
 	"probqos/internal/trace"
 	"probqos/internal/units"
@@ -40,8 +41,7 @@ type quoteRequest struct {
 	MaxQuotes int `json:"max_quotes,omitempty"`
 }
 
-// validate applies the wire-level sanity checks shared by the handler and
-// the fuzz target.
+// validate applies the wire-level sanity checks.
 func (q quoteRequest) validate() error {
 	switch {
 	case q.Nodes <= 0:
@@ -54,18 +54,27 @@ func (q quoteRequest) validate() error {
 	return nil
 }
 
-// decodeQuoteRequest strictly parses a quote request body: unknown fields,
-// trailing data, and out-of-range values are all errors. It is a standalone
-// function so the fuzz target can drive it directly.
-func decodeQuoteRequest(data []byte) (quoteRequest, error) {
-	var q quoteRequest
-	if err := decodeStrict(data, &q); err != nil {
-		return quoteRequest{}, err
+// The request decoders strictly parse a body: unknown fields, trailing
+// data, and out-of-range values are all errors. They are standalone so the
+// fuzz targets drive exactly what the handlers run.
+var (
+	decodeQuoteRequest   = decodeRequest[quoteRequest]
+	decodeAcceptRequest  = decodeRequest[acceptRequest]
+	decodeFaultRequest   = decodeRequest[faultRequest]
+	decodeAdvanceRequest = decodeRequest[advanceRequest]
+)
+
+// decodeRequest parses one JSON value into a T and applies T's validate
+// checks, returning the zero T on any error.
+func decodeRequest[T interface{ validate() error }](data []byte) (T, error) {
+	var req, zero T
+	if err := decodeStrict(data, &req); err != nil {
+		return zero, err
 	}
-	if err := q.validate(); err != nil {
-		return quoteRequest{}, err
+	if err := req.validate(); err != nil {
+		return zero, err
 	}
-	return q, nil
+	return req, nil
 }
 
 // decodeStrict unmarshals one JSON value into v, rejecting unknown fields
@@ -102,8 +111,17 @@ type quoteResponse struct {
 
 type acceptRequest struct {
 	SessionID string `json:"session_id"`
-	// Offer is the 1-based rank of the accepted quote.
+	// Offer is the 1-based rank of the accepted quote. Its range depends
+	// on the session, so the handler checks it after consuming the session.
 	Offer int `json:"offer"`
+}
+
+// validate requires the session ID.
+func (a acceptRequest) validate() error {
+	if a.SessionID == "" {
+		return errors.New("session_id is required")
+	}
+	return nil
 }
 
 type acceptResponse struct {
@@ -114,6 +132,7 @@ type acceptResponse struct {
 }
 
 type faultRequest struct {
+	// Node's range depends on the cluster, so the handler checks it.
 	Node int `json:"node"`
 	// At schedules the failure at an absolute virtual instant; AfterSeconds
 	// offsets from now. Zero values mean "fail now".
@@ -121,11 +140,53 @@ type faultRequest struct {
 	AfterSeconds int64      `json:"after_seconds,omitempty"`
 }
 
+// validate allows at most one of at and after_seconds, each in
+// [0, units.Forever].
+func (f faultRequest) validate() error {
+	switch {
+	case f.At != 0 && f.AfterSeconds != 0:
+		return errors.New("set at most one of at and after_seconds")
+	case f.At < 0 || f.AfterSeconds < 0:
+		return errors.New("fault instant must be non-negative")
+	case f.At > units.Forever || f.AfterSeconds > int64(units.Forever):
+		return errPastForever
+	}
+	return nil
+}
+
 type advanceRequest struct {
 	// To is an absolute virtual instant; BySeconds offsets from now.
 	// Exactly one must be set.
 	To        units.Time `json:"to,omitempty"`
 	BySeconds int64      `json:"by_seconds,omitempty"`
+}
+
+// validate requires exactly one of to and by_seconds, positive and at
+// most units.Forever.
+func (a advanceRequest) validate() error {
+	switch {
+	case (a.To != 0) == (a.BySeconds != 0):
+		return errors.New("set exactly one of to and by_seconds")
+	case a.To < 0 || a.BySeconds < 0:
+		return errors.New("cannot advance the clock backwards")
+	case a.To > units.Forever || a.BySeconds > int64(units.Forever):
+		return errPastForever
+	}
+	return nil
+}
+
+// errPastForever rejects an instant beyond the end of virtual time;
+// bounding every instant by units.Forever also keeps now + offset from
+// overflowing.
+var errPastForever = fmt.Errorf("instant lands past the end of virtual time (%d)", int64(units.Forever))
+
+// offsetFrom returns now + d, or errPastForever when that lands past
+// units.Forever. d must be non-negative.
+func offsetFrom(now units.Time, d int64) (units.Time, error) {
+	if d > int64(units.Forever-now) {
+		return 0, errPastForever
+	}
+	return now.Add(units.Duration(d)), nil
 }
 
 type stateResponse struct {
@@ -137,8 +198,8 @@ type stateResponse struct {
 // conformanceResponse is the live promise ledger: streaming stats plus a
 // tail of individual ledger rows.
 type conformanceResponse struct {
-	trace.ConformanceStats
-	Entries []trace.Promise `json:"entries,omitempty"`
+	promise.ConformanceStats
+	Entries []promise.Promise `json:"entries,omitempty"`
 }
 
 type errorResponse struct {
@@ -295,12 +356,9 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 	if err != nil {
 		return http.StatusBadRequest, nil, err
 	}
-	var req acceptRequest
-	if err := decodeStrict(data, &req); err != nil {
+	req, err := decodeAcceptRequest(data)
+	if err != nil {
 		return http.StatusBadRequest, nil, err
-	}
-	if req.SessionID == "" {
-		return http.StatusBadRequest, nil, errors.New("session_id is required")
 	}
 
 	var (
@@ -364,7 +422,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		}
 		quote := sess.Quotes[req.Offer-1]
 		job := workload.Job{
-			ID:      s.nextJobID + 1,
+			ID:      s.eng.NextJobID(),
 			Arrival: s.eng.Now(),
 			Nodes:   sess.Size,
 			Exec:    sess.Exec,
@@ -469,15 +527,9 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 	if err != nil {
 		return http.StatusBadRequest, nil, err
 	}
-	var req faultRequest
-	if err := decodeStrict(data, &req); err != nil {
+	req, err := decodeFaultRequest(data)
+	if err != nil {
 		return http.StatusBadRequest, nil, err
-	}
-	if req.At != 0 && req.AfterSeconds != 0 {
-		return http.StatusBadRequest, nil, errors.New("set at most one of at and after_seconds")
-	}
-	if req.At < 0 || req.AfterSeconds < 0 {
-		return http.StatusBadRequest, nil, errors.New("fault instant must be non-negative")
 	}
 
 	var (
@@ -498,7 +550,10 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 		}
 		at = req.At
 		if req.AfterSeconds > 0 {
-			at = s.eng.Now().Add(units.Duration(req.AfterSeconds))
+			if at, err = offsetFrom(s.eng.Now(), req.AfterSeconds); err != nil {
+				code = http.StatusBadRequest
+				return
+			}
 		}
 		if at < s.eng.Now() {
 			at = s.eng.Now()
@@ -508,7 +563,7 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 			code, err = http.StatusServiceUnavailable, lerr
 			return
 		}
-		if injErr := s.applyFault(op); injErr != nil {
+		if injErr := s.eng.InjectFailure(op.Node, op.At); injErr != nil {
 			code, err = http.StatusBadRequest, injErr
 			return
 		}
@@ -530,27 +585,29 @@ func (s *Service) handleAdvance(r *http.Request, sc *trace.Scope) (int, any, err
 	if err != nil {
 		return http.StatusBadRequest, nil, err
 	}
-	var req advanceRequest
-	if err := decodeStrict(data, &req); err != nil {
+	req, err := decodeAdvanceRequest(data)
+	if err != nil {
 		return http.StatusBadRequest, nil, err
 	}
-	if (req.To != 0) == (req.BySeconds != 0) {
-		return http.StatusBadRequest, nil, errors.New("set exactly one of to and by_seconds")
-	}
-	if req.To < 0 || req.BySeconds < 0 {
-		return http.StatusBadRequest, nil, errors.New("cannot advance the clock backwards")
-	}
 
-	var now units.Time
+	var (
+		now  units.Time
+		code int
+	)
 	doErr := s.doTraced(sc, func() {
 		if err = s.tick(); err != nil {
+			code = errCode(err)
 			return
 		}
 		target := req.To
 		if req.BySeconds > 0 {
-			target = s.eng.Now().Add(units.Duration(req.BySeconds))
+			if target, err = offsetFrom(s.eng.Now(), req.BySeconds); err != nil {
+				code = http.StatusBadRequest
+				return
+			}
 		}
 		if err = s.advanceTo(target); err != nil {
+			code = errCode(err)
 			return
 		}
 		now = s.eng.Now()
@@ -560,7 +617,7 @@ func (s *Service) handleAdvance(r *http.Request, sc *trace.Scope) (int, any, err
 		return errCode(doErr), nil, doErr
 	}
 	if err != nil {
-		return errCode(err), nil, err
+		return code, nil, err
 	}
 	return http.StatusOK, map[string]units.Time{"now": now}, nil
 }
@@ -609,8 +666,8 @@ func (s *Service) handleConformance(r *http.Request, sc *trace.Scope) (int, any,
 		if err = s.tick(); err != nil {
 			return
 		}
-		resp.ConformanceStats = s.ledger.Stats()
-		resp.Entries = s.ledger.Entries(tail)
+		resp.ConformanceStats = s.eng.Ledger().Stats()
+		resp.Entries = s.eng.Ledger().Entries(tail)
 		s.updateGauges()
 	})
 	if doErr != nil {

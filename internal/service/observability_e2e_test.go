@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"probqos/internal/failure"
+	"probqos/internal/promise"
 	"probqos/internal/trace"
 )
 
@@ -101,7 +102,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Each dialog mints one trace ID and reuses it for every quote/accept
 	// attempt, exactly as qosctl does across retries.
-	type promise struct {
+	type held struct {
 		jobID    int
 		deadline int64
 		promised float64
@@ -110,7 +111,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		promises []promise
+		promises []held
 	)
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
@@ -141,7 +142,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 				switch code {
 				case http.StatusOK:
 					mu.Lock()
-					promises = append(promises, promise{
+					promises = append(promises, held{
 						jobID:    acc.JobID,
 						deadline: int64(acc.Deadline),
 						promised: quote.Quotes[offer-1].Success,
@@ -187,13 +188,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if rep.Promises != sessions || len(rep.Entries) != sessions {
 		t.Fatalf("ledger holds %d promises, %d rows; want %d", rep.Promises, len(rep.Entries), sessions)
 	}
-	byJob := make(map[int]trace.Promise, sessions)
+	byJob := make(map[int]promise.Promise, sessions)
 	for _, e := range rep.Entries {
 		if _, dup := byJob[e.JobID]; dup {
 			t.Errorf("job %d appears twice in the ledger", e.JobID)
 		}
 		byJob[e.JobID] = e
-		if e.Outcome != trace.OutcomeKept && e.Outcome != trace.OutcomeBroken {
+		if e.Outcome != promise.OutcomeKept && e.Outcome != promise.OutcomeBroken {
 			t.Errorf("job %d outcome %q past the horizon", e.JobID, e.Outcome)
 		}
 	}
@@ -215,7 +216,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	kept, brierSum := 0, 0.0
 	for _, e := range rep.Entries {
 		outcome := 0.0
-		if e.Outcome == trace.OutcomeKept {
+		if e.Outcome == promise.OutcomeKept {
 			kept++
 			outcome = 1
 		}

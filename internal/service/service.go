@@ -430,13 +430,13 @@ func (s *Service) updateGauges() {
 // skipping the recomputation when nothing settled or was admitted since
 // the last publish (the common case on the quote fast path).
 func (s *Service) updateConformanceGauges() {
-	v := s.ledger.Version()
+	v := s.eng.Ledger().Version()
 	if s.ledgerSynced && v == s.ledgerVersion {
 		return
 	}
 	s.ledgerVersion = v
 	s.ledgerSynced = true
-	cs := s.ledger.Stats()
+	cs := s.eng.Ledger().Stats()
 	for outcome, n := range map[string]int{
 		"pending": cs.Open,
 		"kept":    cs.Kept,

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -242,5 +245,70 @@ func TestCloseRefusesNewWork(t *testing.T) {
 	if code := call(t, h, "POST", "/v1/quote",
 		map[string]any{"nodes": 1, "exec_seconds": 60}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close quote: code %d, want 503", code)
+	}
+}
+
+// TestClockOffsetsPastForeverRejected pins the end of virtual time: a fault
+// or advance whose instant lands past units.Forever — by an absolute value
+// or by an offset from now that would overflow — is a 400 that journals
+// nothing and leaves the clock and the event queue alone. Instants up to
+// Forever itself are accepted.
+func TestClockOffsetsPastForeverRejected(t *testing.T) {
+	const maxInt64 = "9223372036854775807"
+	forever := strconv.FormatInt(int64(units.Forever), 10)
+	justPast := strconv.FormatInt(int64(units.Forever)+1, 10)
+	// The clock sits at 100, so this offset lands one second past Forever.
+	overshoot := strconv.FormatInt(int64(units.Forever)-99, 10)
+	tests := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"fault after max int64", "/v1/faults", `{"node":3,"after_seconds":` + maxInt64 + `}`, http.StatusBadRequest},
+		{"fault after overshoot", "/v1/faults", `{"node":3,"after_seconds":` + overshoot + `}`, http.StatusBadRequest},
+		{"fault at past forever", "/v1/faults", `{"node":3,"at":` + justPast + `}`, http.StatusBadRequest},
+		{"fault at max int64", "/v1/faults", `{"node":3,"at":` + maxInt64 + `}`, http.StatusBadRequest},
+		{"advance by max int64", "/v1/advance", `{"by_seconds":` + maxInt64 + `}`, http.StatusBadRequest},
+		{"advance by overshoot", "/v1/advance", `{"by_seconds":` + overshoot + `}`, http.StatusBadRequest},
+		{"advance to past forever", "/v1/advance", `{"to":` + justPast + `}`, http.StatusBadRequest},
+		{"fault at forever", "/v1/faults", `{"node":3,"at":` + forever + `}`, http.StatusAccepted},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(durableConfig(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			h := s.Handler()
+			if code := call(t, h, "POST", "/v1/advance", map[string]any{"by_seconds": 100}, nil); code != http.StatusOK {
+				t.Fatalf("setup advance: code %d", code)
+			}
+			walBefore, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", tt.path, strings.NewReader(tt.body)))
+			if rec.Code != tt.want {
+				t.Fatalf("code %d, want %d: %s", rec.Code, tt.want, rec.Body)
+			}
+			if tt.want != http.StatusBadRequest {
+				return
+			}
+			walAfter, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(walAfter) != len(walBefore) {
+				t.Errorf("rejected request grew the WAL from %d to %d bytes", len(walBefore), len(walAfter))
+			}
+			var st stateResponse
+			call(t, h, "GET", "/v1/state", nil, &st)
+			if st.Now != 100 || st.PendingEvents != 0 {
+				t.Errorf("rejected request moved state: now %v, pending events %d", st.Now, st.PendingEvents)
+			}
+		})
 	}
 }

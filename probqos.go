@@ -10,8 +10,8 @@
 //   - synthetic workload and failure-trace generators calibrated to the
 //     paper's NASA/SDSC logs and AIX failure data (plus an SWF parser for
 //     real archive logs);
-//   - the live control system (System) that quotes and negotiates
-//     deadlines against a failure forecast;
+//   - the live control system (System) that quotes and admits jobs
+//     against a failure forecast and keeps a ledger of its promises;
 //   - the trace-driven simulator (Run) that replays a whole job log and
 //     measures QoS, utilization, and lost work;
 //   - the experiment harness that regenerates every table and figure of
@@ -32,7 +32,6 @@ import (
 	"io"
 
 	"probqos/internal/checkpoint"
-	"probqos/internal/core"
 	"probqos/internal/eventlog"
 	"probqos/internal/failure"
 	"probqos/internal/health"
@@ -40,6 +39,7 @@ import (
 	"probqos/internal/negotiate"
 	"probqos/internal/obs"
 	"probqos/internal/predict"
+	"probqos/internal/promise"
 	"probqos/internal/scenario"
 	"probqos/internal/service"
 	"probqos/internal/sim"
@@ -104,8 +104,10 @@ type (
 	User = negotiate.User
 	// Quote is one (deadline, probability of success) offer.
 	Quote = negotiate.Quote
-	// System is the live control system: quotes, negotiation, reservation.
-	System = core.System
+	// System is the live control system: a simulation engine that quotes
+	// and admits jobs on a virtual clock, together with the ledger of the
+	// promises it has made.
+	System = promise.Machine
 	// SimConfig assembles one simulation run.
 	SimConfig = sim.Config
 	// Result is everything a simulation run produces.
@@ -250,11 +252,14 @@ func NewTracePredictor(tr *FailureTrace, a float64) (Predictor, error) {
 	return predict.NewTrace(tr, a)
 }
 
-// NewSystem builds a live control system for a cluster of nodes,
-// forecasting from the trace with the given accuracy. See core.Option for
-// configuration.
-func NewSystem(nodes int, trace *FailureTrace, accuracy float64, opts ...core.Option) (*System, error) {
-	return core.NewSystem(nodes, trace, accuracy, opts...)
+// NewSystem builds a live control system for a cluster of nodes at the
+// paper's Table 2 operating point, forecasting from the trace with the
+// given accuracy. Its clock starts at zero.
+func NewSystem(nodes int, trace *FailureTrace, accuracy float64) (*System, error) {
+	cfg := sim.DefaultConfig(nil, trace)
+	cfg.Nodes = nodes
+	cfg.Accuracy = accuracy
+	return promise.New(cfg)
 }
 
 // NewUser validates a user risk strategy U in [0, 1].
@@ -362,9 +367,10 @@ func NewQoSServiceConfig(tr *FailureTrace) QoSServiceConfig {
 	return service.DefaultConfig(tr)
 }
 
-// Request tracing and promise conformance (internal/trace): request-scoped
-// spans with Chrome trace_event export, and the live ledger that scores
-// every admitted promise against its outcome.
+// Request tracing (internal/trace): request-scoped spans with Chrome
+// trace_event export. Promise conformance (internal/promise): the ledger
+// that scores every admitted promise against its outcome, read through
+// System.Ledger.
 type (
 	// Tracer records request-scoped spans into per-shard ring buffers;
 	// assign one to QoSServiceConfig.Tracer (nil disables tracing).
@@ -372,12 +378,12 @@ type (
 	// TraceSpan is one recorded interval of a traced request.
 	TraceSpan = trace.Span
 	// PromiseLedger scores admitted promises against their outcomes.
-	PromiseLedger = trace.Ledger
+	PromiseLedger = promise.Ledger
 	// PromiseEntry is one promise row of the ledger.
-	PromiseEntry = trace.Promise
+	PromiseEntry = promise.Promise
 	// ConformanceStats are the ledger's streaming honesty statistics:
 	// keeping rate, Brier score, and reliability bins.
-	ConformanceStats = trace.ConformanceStats
+	ConformanceStats = promise.ConformanceStats
 )
 
 // NewTracer returns a tracer holding up to capacity completed spans

@@ -48,7 +48,7 @@ func TestPublicSystemNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quotes := sys.Quotes(0, 16, 2*probqos.Hour, 4)
+	quotes := sys.Quotes(16, 2*probqos.Hour, 4)
 	if len(quotes) < 2 {
 		t.Fatalf("quotes = %+v", quotes)
 	}
@@ -60,27 +60,41 @@ func TestPublicSystemNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, offers, err := sys.Submit(1, 0, 16, 2*probqos.Hour, user)
-	if err != nil {
+	rank := 0
+	for i, q := range quotes {
+		if user.Accepts(q.Success) {
+			rank = i + 1
+			break
+		}
+	}
+	if rank < 2 {
+		t.Fatalf("U=0.9 accepted offer %d of %+v", rank, quotes)
+	}
+	q := quotes[rank-1]
+	job := probqos.Job{ID: sys.NextJobID(), Nodes: 16, Exec: 2 * probqos.Hour}
+	if err := sys.Admit(job, q, rank, ""); err != nil {
 		t.Fatal(err)
 	}
-	if q.Success < 0.9 || offers < 2 {
-		t.Errorf("accepted %+v after %d offers", q, offers)
+	// The reservation is committed: the same quote cannot be admitted
+	// twice, and a fresh quote avoids the slot.
+	job2 := probqos.Job{ID: sys.NextJobID(), Nodes: 16, Exec: 2 * probqos.Hour}
+	if err := sys.Admit(job2, q, rank, ""); err == nil {
+		t.Error("second job admitted into the same slot")
 	}
-	// The reservation is committed: an identical second submission cannot
-	// get the same slot.
-	q2, _, err := sys.Submit(2, 0, 16, 2*probqos.Hour, user)
-	if err != nil {
-		t.Fatal(err)
+	if q2 := sys.Quotes(16, 2*probqos.Hour, 1); len(q2) != 1 || q2[0].Candidate.Start == q.Candidate.Start {
+		t.Errorf("fresh quote %+v reuses the committed slot", q2)
 	}
-	if q2.Candidate.Start == q.Candidate.Start {
-		t.Error("second job reserved the same slot")
-	}
-	sys.Release(2)
 	if got := sys.Nodes(); got != 16 {
 		t.Errorf("Nodes = %d", got)
 	}
-	if pf := sys.PFail([]int{0}, 0, 10000); pf != 0.4 {
+	if st := sys.Ledger().Stats(); st.Promises != 1 || st.Open != 1 {
+		t.Errorf("ledger after one admit: %+v", st)
+	}
+	pred, err := probqos.NewTracePredictor(trace, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf := pred.PFail([]int{0}, 0, 10000); pf != 0.4 {
 		t.Errorf("PFail = %v, want 0.4", pf)
 	}
 }

@@ -23,6 +23,12 @@ go run ./cmd/qoslint ./...
 echo "== go build ./..."
 go build ./...
 
+# qosbench is a module of its own, so the root ./... never reaches it; vet
+# and build it the way qosbench/run.sh does, offline.
+echo "== qosbench: go vet + go build"
+(cd qosbench && export GOWORK=off GOFLAGS=-mod=mod GOPROXY=off &&
+    go vet ./... && go build -o /dev/null .)
+
 echo "== go test -race ./..."
 go test -race ./...
 
